@@ -1,18 +1,22 @@
 // Shared helpers for the figure benches: canonical parameter sets matching
-// the paper's setup (§5) and shape-check reporting.
+// the paper's setup (§5), shape-check reporting and fail-loud flag parsing.
 //
 // Every fig bench prints (a) an aligned table of the series the paper
 // plots, (b) the same rows as CSV, and (c) `# shape-check:` lines asserting
 // the paper's qualitative findings on this run's numbers.
 #pragma once
 
+#include <exception>
 #include <iostream>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "core/coordinator.h"
 #include "core/experiment.h"
 #include "obs/session.h"
 #include "peak_rss.h"
+#include "util/flags.h"
 #include "util/table.h"
 
 namespace ecgf::bench {
@@ -59,6 +63,28 @@ inline void print_table(const util::Table& table) {
   std::cout << "\n-- CSV --\n";
   table.print_csv(std::cout);
   std::cout << '\n';
+}
+
+/// Parse a bench's flags, failing loudly. --help prints the flag list and
+/// yields exit code 0; an unknown flag, a missing value or a stray
+/// positional argument prints the error and the list and yields 2.
+/// nullopt = go ahead and run.
+inline std::optional<int> parse_flags(util::Flags& flags, int argc,
+                                      char** argv) {
+  try {
+    if (!flags.parse(argc, argv)) {
+      std::cout << flags.help(argv[0]);
+      return 0;
+    }
+    if (!flags.positional().empty()) {
+      throw std::invalid_argument("unexpected argument '" +
+                                  flags.positional().front() + "'");
+    }
+  } catch (const std::exception& e) {
+    std::cerr << argv[0] << ": " << e.what() << "\n" << flags.help(argv[0]);
+    return 2;
+  }
+  return std::nullopt;
 }
 
 }  // namespace ecgf::bench

@@ -15,7 +15,9 @@
 // waiver JSON (mode "skipped" plus the reason) and exits 0 so check.sh
 // can still lint the schema without a network-capable container.
 //
-// --smoke shrinks the sweep for CI; --json-out=FILE sets the output path.
+// --smoke shrinks the sweep for CI; --json-out=FILE sets the output path;
+// --trace-out / --prof-out as everywhere; --help lists the flags, and an
+// unknown flag exits 2 before anything runs.
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -31,9 +33,9 @@
 #include "live/coordinator.h"
 #include "live/member.h"
 #include "live/runspec.h"
+#include "bench_common.h"
 #include "live/sock.h"
 #include "obs/export.h"
-#include "peak_rss.h"
 
 namespace ecgf {
 namespace {
@@ -150,13 +152,15 @@ void write_waiver(const std::string& json_out, const std::string& reason) {
 
 int main(int argc, char** argv) {
   using namespace ecgf;
-  bool smoke = false;
-  std::string json_out = "BENCH_live.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    if (arg.rfind("--json-out=", 0) == 0) json_out = arg.substr(11);
-  }
+  util::Flags flags;
+  flags.define_bool("smoke", "shrink the sweep for CI");
+  flags.define("json-out", "write the JSON report here", "BENCH_live.json");
+  flags.define("trace-out", "write the structured event trace (JSONL)", "");
+  flags.define("prof-out", "write per-phase wall-time stats (JSON)", "");
+  if (const auto rc = bench::parse_flags(flags, argc, argv)) return *rc;
+  obs::ObsSession obs_session(flags.get("trace-out"), flags.get("prof-out"));
+  const bool smoke = flags.get_bool("smoke");
+  const std::string json_out = flags.get("json-out");
 
   if (live::skip_live_requested()) {
     write_waiver(json_out, "ECGF_SKIP_LIVE=1");

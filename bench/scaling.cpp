@@ -19,7 +19,9 @@
 // containers are often single-core; the numbers stay honest rather than
 // synthetic).
 //
-// --smoke shrinks the sweep for CI; --json-out=FILE sets the output path.
+// --smoke shrinks the sweep for CI; --json-out=FILE sets the output path;
+// --trace-out / --prof-out as everywhere; --help lists the flags, and an
+// unknown flag exits 2 before anything runs.
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -183,14 +185,15 @@ std::string json_escape(const std::string& s) {
 
 int main(int argc, char** argv) {
   using namespace ecgf;
-  obs::ObsSession obs_session(argc, argv);
-  bool smoke = false;
-  std::string json_out = "BENCH_scale.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    if (arg.rfind("--json-out=", 0) == 0) json_out = arg.substr(11);
-  }
+  util::Flags flags;
+  flags.define_bool("smoke", "shrink the sweep for CI");
+  flags.define("json-out", "write the JSON report here", "BENCH_scale.json");
+  flags.define("trace-out", "write the structured event trace (JSONL)", "");
+  flags.define("prof-out", "write per-phase wall-time stats (JSON)", "");
+  if (const auto rc = bench::parse_flags(flags, argc, argv)) return *rc;
+  obs::ObsSession obs_session(flags.get("trace-out"), flags.get("prof-out"));
+  const bool smoke = flags.get_bool("smoke");
+  const std::string json_out = flags.get("json-out");
 
   const unsigned host_cores = std::max(1u, std::thread::hardware_concurrency());
   const std::vector<std::size_t> shard_counts =

@@ -365,16 +365,16 @@ PYGATE
   rm -rf "$live_dir"
 fi
 
-# AddressSanitizer pass over one fast ctest shard: builds a separate tree
-# with -DECGF_SANITIZE=address (the CMake option existed since PR 1 but
-# only TSan was exercised) and runs the core memory-heavy suites. Probe
+# AddressSanitizer + UndefinedBehaviorSanitizer pass over one fast ctest
+# shard: builds a separate tree with -DECGF_SANITIZE=address (which turns
+# on both, UB reports fatal) and runs the core memory-heavy suites. Probe
 # compiler support first; skip with ECGF_SKIP_ASAN=1.
 if [[ "${ECGF_SKIP_ASAN:-0}" != "1" ]]; then
   asan_probe="$(mktemp -d)"
   echo 'int main(){return 0;}' > "$asan_probe/probe.cpp"
-  if c++ -fsanitize=address "$asan_probe/probe.cpp" -o "$asan_probe/probe" \
-       >/dev/null 2>&1 && "$asan_probe/probe"; then
-    echo "== AddressSanitizer shard (sim_test, shard_test, schemes_test, net_test, cache_test, netmodel_test, workload_test, live_test) =="
+  if c++ -fsanitize=address,undefined "$asan_probe/probe.cpp" \
+       -o "$asan_probe/probe" >/dev/null 2>&1 && "$asan_probe/probe"; then
+    echo "== ASan+UBSan shard (sim_test, shard_test, schemes_test, net_test, cache_test, netmodel_test, workload_test, live_test) =="
     asan_generator=()
     if command -v ninja >/dev/null 2>&1 && [[ ! -f build-asan/CMakeCache.txt ]]; then
       asan_generator=(-G Ninja)
@@ -392,7 +392,7 @@ if [[ "${ECGF_SKIP_ASAN:-0}" != "1" ]]; then
     ECGF_THREADS=8 ctest --test-dir build-asan --output-on-failure \
       -E '_NOT_BUILT$' || fail=1
   else
-    echo "== AddressSanitizer unsupported by this toolchain; skipping =="
+    echo "== ASan+UBSan unsupported by this toolchain; skipping =="
   fi
   rm -rf "$asan_probe"
 fi

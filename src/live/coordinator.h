@@ -1,18 +1,19 @@
 // live::Coordinator — the control process of a live cache-group run.
 //
 // Accepts N member connections, hands each the RunSpec, drives probing /
-// formation / transport qualification, then runs the conservative-PDES
-// schedule of shard::ShardedSimulator with the shards living in OTHER
-// PROCESSES: windows go out as kWindow frames, members ship back their
-// buffered effects, and the coordinator replays the identical k-way merge
-// into its metrics collector and trace stream. Barriers broadcast to
-// every member so all engine replicas stay in lock-step.
+// formation / transport qualification, then drives the conservative-PDES
+// schedule of the sharded driver (shard::EpochSchedule, shared code) with
+// the shards living in OTHER PROCESSES: windows go out as kWindow frames,
+// members ship back their buffered effects, and the coordinator replays
+// the identical k-way merge into its metrics collector and trace stream.
+// Barriers broadcast to every member so all engine replicas stay in
+// lock-step.
 //
 // Determinism contract (docs/live_mode.md): on a fixed RunSpec, run()'s
 // SimulationReport and trace bytes equal the sequential oracle's
 // (runspec.h run_oracle) bit for bit. A member that dies mid-serving
 // degrades the run instead of voiding it: its caches leave gracefully via
-// synthetic membership barriers and the survivors finish the horizon —
+// synthetic membership barriers and the survivors finish the run —
 // byte-identity is no longer promised after a kill, completing without a
 // hang is.
 #pragma once
@@ -29,6 +30,7 @@
 #include "net/rtt_provider.h"
 #include "obs/trace.h"
 #include "shard/exchange.h"
+#include "shard/schedule.h"
 #include "sim/config.h"
 #include "sim/engine.h"
 #include "sim/metrics.h"
@@ -137,13 +139,6 @@ class Coordinator {
     Coordinator& host_;
   };
 
-  struct Barrier {
-    double time_ms;
-    sim::EventClass klass;
-    std::uint64_t key;
-    std::size_t index;
-  };
-
   void accept_members(LiveRunResult& result);
   /// Send to every alive member; a send failure marks the member dead.
   void broadcast(MsgType type, const std::vector<std::uint8_t>& payload);
@@ -153,13 +148,12 @@ class Coordinator {
   /// Setup phases run with the full quorum: any dead member aborts.
   void require_all_alive(const char* phase) const;
   void run_qualify(LiveRunResult& result);
-  void run_windows(double cut, bool inclusive, LiveRunResult& result);
-  void execute_barrier(const Barrier& b, LiveRunResult& result);
+  void run_windows(double cut, LiveRunResult& result);
+  void execute_barrier(const shard::Barrier& b, LiveRunResult& result);
   /// Map a freshly dead member's caches onto graceful departures at
   /// logical time `t` (synthetic kBarrier broadcasts + local apply).
   void depart_dead_members(double t, LiveRunResult& result);
   double earliest_pending() const;
-  void adapt_epoch(std::size_t exchanged);
   void mark_dead(std::size_t m);
 
   RunSpec spec_;
@@ -175,8 +169,6 @@ class Coordinator {
   std::unique_ptr<Sink> coord_sink_;
   shard::MergeScratch merge_scratch_;
   std::vector<std::size_t> cache_owner_;  ///< cache → member (shard plan)
-  double epoch_ms_ = 0.0;
-  double epoch_initial_ms_ = 0.0;
   std::uint64_t events_executed_ = 0;
   std::uint64_t requests_executed_ = 0;
   std::uint64_t invalidations_total_ = 0;  ///< summed member deltas

@@ -32,7 +32,32 @@ workload::WorkloadParams workload_params(const RunSpec& spec) {
   return p;
 }
 
+/// Swallows every effect except the one trace event an update emits.
+struct CaptureSink final : sim::EffectSink {
+  bool captured = false;
+  obs::TraceEvent event{};
+  void emit(const obs::TraceEvent& e) override {
+    captured = true;
+    event = e;
+  }
+  void record(cache::CacheIndex, double, sim::Resolution,
+              sim::SimTime) override {}
+  void rtt_sample(net::HostId, net::HostId, double, sim::SimTime) override {}
+};
+
 }  // namespace
+
+UpdateShare apply_update(sim::ShardableEngine& engine,
+                         const workload::Update& update) {
+  const std::uint64_t before = engine.invalidations_pushed();
+  CaptureSink cap;
+  engine.on_update(update, cap);
+  UpdateShare share;
+  share.invalidations = engine.invalidations_pushed() - before;
+  share.announced = cap.captured;
+  if (cap.captured) share.holders = static_cast<std::uint64_t>(cap.event.b);
+  return share;
+}
 
 World build_world(const RunSpec& spec) {
   util::Rng rng(spec.seed);

@@ -19,6 +19,7 @@
 #include "net/synthetic.h"
 #include "obs/trace.h"
 #include "sim/config.h"
+#include "sim/engine.h"
 #include "workload/stream.h"
 
 namespace ecgf::live {
@@ -53,6 +54,21 @@ sim::SimulationConfig sim_config_for(
 std::vector<std::vector<cache::CacheIndex>> form_live_groups(
     const RunSpec& spec, const net::RttProvider& provider,
     obs::TraceContext* trace);
+
+/// One replica's share of an update barrier: the invalidations its
+/// engine pushed and the holder count announced in the invalidation
+/// trace event it emitted. A replica holds registrations only for the
+/// groups whose windows it ran, so the run's figures are the sums over
+/// every replica (the coordinator adds its own and the member acks).
+struct UpdateShare {
+  std::uint64_t invalidations = 0;
+  std::uint64_t holders = 0;
+  bool announced = false;  ///< the engine emitted an invalidation event
+};
+
+/// Apply `update` to `engine`, capturing (not forwarding) its trace event.
+UpdateShare apply_update(sim::ShardableEngine& engine,
+                         const workload::Update& update);
 
 /// What the sequential oracle produced for a spec.
 struct OracleResult {

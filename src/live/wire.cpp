@@ -176,11 +176,6 @@ std::vector<std::uint8_t> encode_run_spec(const RunSpec& s) {
     w.u32(m.cache);
     w.f64(m.time_ms);
   }
-  w.f64(s.epoch_ms);
-  w.f64(s.epoch_floor_ms);
-  w.f64(s.epoch_cap_ms);
-  w.u8(s.adaptive_epoch);
-  w.u64(s.effect_batch_target);
   w.u8(s.trace_on);
   w.u8(s.qualify);
   return w.take();
@@ -228,11 +223,6 @@ RunSpec decode_run_spec(const std::vector<std::uint8_t>& payload) {
     m.cache = r.u32();
     m.time_ms = r.f64();
   }
-  s.epoch_ms = r.f64();
-  s.epoch_floor_ms = r.f64();
-  s.epoch_cap_ms = r.f64();
-  s.adaptive_epoch = r.u8();
-  s.effect_batch_target = r.u64();
   s.trace_on = r.u8();
   s.qualify = r.u8();
   r.done();
@@ -278,13 +268,6 @@ RunSpec decode_run_spec(const std::vector<std::uint8_t>& payload) {
       fail("RunSpec: membership event names unknown cache");
     }
     if (!(m.time_ms >= 0.0)) fail("RunSpec: membership time must be >= 0");
-  }
-  if (!(s.epoch_ms >= 0.0) || !(s.epoch_floor_ms > 0.0) ||
-      !(s.epoch_cap_ms >= s.epoch_floor_ms)) {
-    fail("RunSpec: bad epoch bounds");
-  }
-  if (s.effect_batch_target == 0) {
-    fail("RunSpec: effect_batch_target must be positive");
   }
   return s;
 }

@@ -25,11 +25,15 @@
 //     shards with pending work in the window are dispatched; an
 //     all-empty window skips the pool entirely.
 //   * The epoch width is ADAPTIVE: it starts at the minimum cross-shard
-//     RTT over active (non-down) cache pairs (CMB-style, clamped to
-//     [epoch_floor_ms, epoch_cap_ms]) and widens multiplicatively while
-//     epochs commit with little or no exchanged effect volume, narrowing
-//     again when an epoch overshoots the effect-batch target. This is
-//     what keeps cut counts low when the derived lookahead is tiny.
+//     RTT over active (non-down) cache pairs (CMB-style, clamped) and
+//     widens multiplicatively while epochs commit with little or no
+//     exchanged effect volume, narrowing again when an epoch overshoots
+//     the effect-batch target. This is what keeps cut counts low when the
+//     derived lookahead is tiny. Barrier order, width and cut choice all
+//     live in shard::EpochSchedule, shared with the live coordinator;
+//     the per-shard window loop is shard::Lane, shared with live members.
+//   * The run ends when no barrier is left and no shard has anything
+//     pending: every request that arrives also resolves.
 //   * Order-sensitive side effects (metrics samples, trace events, RTT
 //     observations) are buffered per shard and replayed at each cut as a
 //     deterministic k-way merge in canonical event order
@@ -52,6 +56,7 @@
 #include "obs/trace.h"
 #include "shard/exchange.h"
 #include "shard/plan.h"
+#include "shard/schedule.h"
 #include "sim/config.h"
 #include "sim/control.h"
 #include "sim/engine.h"
@@ -67,22 +72,10 @@ struct ShardOptions {
   /// — still bit-identical to sim::Simulator.
   std::size_t shards = 1;
   /// Explicit, FIXED epoch length; 0 = derive the initial width from the
-  /// minimum cross-shard RTT and adapt from there. Setting it disables
-  /// adaptation (useful for reproducing an exact cut schedule).
+  /// minimum cross-shard RTT and adapt from there (shard::EpochSchedule).
+  /// Setting it pins the cut schedule, which is how the tests prove that
+  /// cut width never changes output bytes.
   double epoch_ms = 0.0;
-  /// Clamp range for the derived/adaptive epoch. The floor guards
-  /// degenerate lookahead (near-zero cross-shard RTTs); the cap bounds
-  /// effect-buffer memory between cuts.
-  double epoch_floor_ms = 1.0;
-  double epoch_cap_ms = 1'000.0;
-  /// Adaptive epoch widening (derived epochs only): after a pure epoch
-  /// cut, the width doubles while the cut exchanged fewer effects than
-  /// effect_batch_target (quadruples when it exchanged none) and halves
-  /// after overshooting 4x the target, always staying within
-  /// [initial width, epoch_cap_ms]. Deterministic — decisions depend only
-  /// on simulated content, never on wall time or thread scheduling.
-  bool adaptive_epoch = true;
-  std::size_t effect_batch_target = 8192;
   /// Worker threads for the shard loops; 0 = min(shards,
   /// util::configured_threads()).
   std::size_t threads = 0;
@@ -129,10 +122,10 @@ class ShardedSimulator final : public sim::GroupHost {
   /// Epoch width currently in force (adaptive; equals epoch_initial_ms()
   /// before the first widening, and the explicit epoch_ms forever when
   /// one was given).
-  double epoch_ms() const { return epoch_ms_; }
+  double epoch_ms() const { return schedule_.width_ms(); }
   /// Epoch width the last (re)shard derived before any adaptation —
   /// the clamped min cross-shard RTT, or the explicit epoch_ms.
-  double epoch_initial_ms() const { return epoch_initial_ms_; }
+  double epoch_initial_ms() const { return schedule_.initial_width_ms(); }
   /// Synchronisation cuts executed during run() (epoch + barrier cuts).
   std::uint64_t cuts_executed() const { return cuts_; }
   /// Shard windows actually dispatched (shards with pending events in a
@@ -146,7 +139,7 @@ class ShardedSimulator final : public sim::GroupHost {
   /// here, exactly like sim::Simulator::clock_ptr() — barrier-side reads
   /// then see barrier time, while the shard hot path always uses the
   /// explicit-time rtt_ms_at() and never touches this clock.
-  const double* clock_ptr() const { return &now_ms_; }
+  const double* clock_ptr() const { return schedule_.clock_ptr(); }
 
  private:
   /// Coordinator-side sink: applies effects immediately (used for barrier
@@ -173,62 +166,17 @@ class ShardedSimulator final : public sim::GroupHost {
     ShardedSimulator& host_;
   };
 
-  /// One pending completion, ordered by canonical key (time, request
-  /// index) — EventClass::kCompletion is implied.
-  struct PendingCompletion {
-    sim::Completion c;
-    friend bool operator<(const PendingCompletion& a,
-                          const PendingCompletion& b) {
-      if (a.c.time != b.c.time) return a.c.time < b.c.time;
-      return a.c.request_index < b.c.request_index;
-    }
-  };
-
-  /// Min-heap adapter for std::push_heap/pop_heap (which build max-heaps
-  /// with operator<).
-  struct CompletionGreater {
-    bool operator()(const PendingCompletion& a,
-                    const PendingCompletion& b) const {
-      return b < a;
-    }
-  };
-
-  /// Per-shard event state: the shard's lazy request stream plus its
-  /// min-heap of in-flight completions. The stream is peeked (never
-  /// popped) for head-time comparisons, so the generator state inside the
-  /// WorkloadSource always reflects exactly the executed prefix — which is
-  /// what lets reshard() re-partition mid-run without replaying anything.
-  struct ShardState {
-    std::unique_ptr<workload::RequestSource> source;
-    std::vector<PendingCompletion> completions;  ///< min-heap (std::*_heap)
-    std::uint64_t executed = 0;  ///< events run, summed into the report
-    std::uint64_t arrivals = 0;  ///< arrivals run, summed into the report
-  };
-
-  /// A coordinator-executed event that synchronises all shards.
-  struct Barrier {
-    double time_ms;
-    sim::EventClass klass;
-    std::uint64_t key;    ///< canonical tie-break key
-    std::size_t index;    ///< index into the source list (updates/failures/…)
-  };
-
   /// (Re)distribute the workload across shards for the current partition:
   /// new ShardPlan, per-shard streams from source.partition() at/after
   /// `from_ms`, pending completions re-homed by cache, lookahead
   /// re-derived.
   void reshard(workload::WorkloadSource& source, double from_ms);
 
-  /// Run the event loop of every shard with pending work up to `cut`
-  /// (exclusive; inclusive for the final drain window) in parallel on the
-  /// pool, buffering effects into the per-shard arenas. Shards with no
-  /// events in the window are not dispatched; an all-empty window returns
-  /// without touching the pool.
-  void run_windows(double cut, bool inclusive);
-
-  /// Adaptive-epoch update after a pure (non-barrier) epoch cut that
-  /// exchanged `exchanged` effects.
-  void adapt_epoch(std::size_t exchanged);
+  /// Run the window of every lane with events before `cut` in parallel
+  /// on the pool, buffering effects into the per-shard arenas. Lanes with
+  /// no events in the window are not dispatched; an all-empty window
+  /// returns without touching the pool.
+  void run_windows(double cut);
 
   /// Earliest pending event time across all shards; +inf when idle.
   double earliest_pending() const;
@@ -244,15 +192,14 @@ class ShardedSimulator final : public sim::GroupHost {
   std::unique_ptr<util::ThreadPool> pool_;
 
   ShardPlan plan_;
-  std::vector<ShardState> shards_;
+  EpochSchedule schedule_;
+  std::vector<Lane> lanes_;
+  std::vector<WindowCount> counts_;  ///< per-lane result of the last window
   std::vector<ShardSink> sinks_;
   CoordinatorSink coord_sink_;
   MergeScratch merge_scratch_;
   std::vector<std::size_t> active_;  ///< reusable active-shard scratch
   std::size_t resolved_threads_ = 1;
-  double epoch_ms_ = 0.0;
-  double epoch_initial_ms_ = 0.0;
-  double now_ms_ = 0.0;
   bool reshard_pending_ = false;
   std::uint64_t control_ticks_ = 0;
   std::uint64_t cuts_ = 0;

@@ -139,10 +139,11 @@ SimulationReport Simulator::run(workload::WorkloadSource& source) {
                     EventClass::kSummaryRefresh, 0, refresh);
   }
 
-  // Run past the workload end so in-flight completions drain (no new
-  // arrivals can appear after the last log records).
-  const SimTime horizon = duration_ms + 60'000.0;
-  const std::uint64_t events = queue_.run(horizon);
+  // Run until the queue drains: every arrival's completion resolves, however
+  // long congested links stretch it past the workload end (no new arrivals
+  // appear after the last log records, and the periodic chains stop at
+  // duration_ms).
+  const std::uint64_t events = queue_.run(kInf);
 
   return engine_.assemble_report(*metrics_, requests_processed, events,
                                  control_ticks_, sink_.tally);

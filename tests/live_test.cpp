@@ -37,6 +37,7 @@
 #include "net/synthetic.h"
 #include "obs/export.h"
 #include "obs/trace.h"
+#include "shard/sharded_sim.h"
 #include "sim/event_queue.h"
 #include "sim/message_engine.h"
 #include "util/expect.h"
@@ -78,6 +79,11 @@ TEST(Wire, HeaderRejectsCorruption) {
   bad = good;
   bad[4] = 0x7F;
   EXPECT_THROW(decode_header(bad.data(), bad.size()), WireError);
+  // The previous version, whose RunSpec still carried the epoch fields.
+  bad = good;
+  bad[4] = 0x01;
+  bad[5] = 0x00;
+  EXPECT_THROW(decode_header(bad.data(), bad.size()), WireError);
   // Unknown message type.
   bad = good;
   bad[6] = 0xEE;
@@ -109,7 +115,6 @@ RunSpec fancy_spec() {
   s.failures = {{2, 500.0}, {7, 900.0}};
   s.membership = {{sim::MembershipChange::Kind::kLeave, 4, 600.0},
                   {sim::MembershipChange::Kind::kJoin, 4, 1'000.0}};
-  s.epoch_ms = 25.0;
   s.trace_on = 1;
   s.qualify = 0;
   return s;
@@ -136,7 +141,6 @@ TEST(Wire, RunSpecRoundTrip) {
   ASSERT_EQ(d.membership.size(), 2u);
   EXPECT_EQ(d.membership[0].kind, sim::MembershipChange::Kind::kLeave);
   EXPECT_EQ(d.membership[1].cache, 4u);
-  EXPECT_EQ(d.epoch_ms, s.epoch_ms);
   EXPECT_EQ(d.trace_on, s.trace_on);
   EXPECT_EQ(d.qualify, s.qualify);
 }
@@ -151,6 +155,11 @@ TEST(Wire, RunSpecRejectsMalformedPayloads) {
   // Trailing garbage.
   bytes.push_back(0);
   EXPECT_THROW(decode_run_spec(bytes), WireError);
+  // A version-1 payload: the five epoch fields (3 f64, u8, u64) sat
+  // before trace_on and qualify; the current decoder must not accept it.
+  auto v1 = encode_run_spec(fancy_spec());
+  v1.insert(v1.end() - 2, 33, 0);
+  EXPECT_THROW(decode_run_spec(v1), WireError);
 
   // Semantic hardening.
   RunSpec zero = fancy_spec();
@@ -516,6 +525,35 @@ TEST_F(LiveEndToEnd, TtlConsistencyMatchesOracle) {
   spec.ttl_ms = 1'000.0;
   const PairRun pair = run_pair(spec, 2, /*traced=*/false);
   EXPECT_EQ(pair.live_report, pair.oracle_report);
+}
+
+TEST_F(LiveEndToEnd, CutScheduleMatchesTheShardedDriver) {
+  // Cut schedules never change output bytes, so only counting cuts and
+  // windows shows whether the live coordinator and the sharded driver
+  // still take the same schedule. Members == shards, same spec.
+  ECGF_REQUIRE_LIVE();
+  RunSpec spec = small_spec();
+  spec.failures = {{5, 1'500.0}};
+  spec.membership = {{sim::MembershipChange::Kind::kLeave, 2, 1'000.0},
+                     {sim::MembershipChange::Kind::kJoin, 2, 2'500.0}};
+  for (std::uint32_t members : {1u, 2u}) {
+    const PairRun pair = run_pair(spec, members, /*traced=*/false);
+    World world = build_world(spec);
+    shard::ShardOptions options;
+    options.shards = members;
+    shard::ShardedSimulator sharded(
+        world.catalog, world.rtt, world.server(),
+        sim_config_for(spec, form_live_groups(spec, world.rtt, nullptr)),
+        options);
+    const sim::SimulationReport report = sharded.run(*world.workload);
+    std::ostringstream bytes;
+    obs::write_report_jsonl(bytes, report, "live");
+    EXPECT_EQ(pair.live_report, bytes.str()) << "members=" << members;
+    EXPECT_GT(pair.live.cuts, 0u);
+    EXPECT_EQ(pair.live.cuts, sharded.cuts_executed()) << "members=" << members;
+    EXPECT_EQ(pair.live.windows, sharded.windows_dispatched())
+        << "members=" << members;
+  }
 }
 
 TEST_F(LiveEndToEnd, MemberKillDegradesIntoGracefulLeaves) {

@@ -14,6 +14,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -27,6 +28,7 @@
 #include "obs/trace.h"
 #include "shard/exchange.h"
 #include "shard/plan.h"
+#include "shard/schedule.h"
 #include "shard/sharded_sim.h"
 #include "sim/netmodel/link_model.h"
 #include "sim/simulator.h"
@@ -459,12 +461,12 @@ TEST(ShardedSimEdge, DegenerateLookaheadClampsToFloorAndStaysIdentical) {
   // Derived lookahead 0.01 ms < the 1 ms floor → the INITIAL width is
   // clamped to the floor; adaptation then widens it (the current width
   // ends at or above where it started, at or below the cap).
-  EXPECT_DOUBLE_EQ(sharded.epoch_initial_ms(), options.epoch_floor_ms);
+  EXPECT_DOUBLE_EQ(sharded.epoch_initial_ms(), EpochSchedule::kFloorMs);
   EXPECT_GE(sharded.epoch_ms(), sharded.epoch_initial_ms());
-  EXPECT_LE(sharded.epoch_ms(), options.epoch_cap_ms);
+  EXPECT_LE(sharded.epoch_ms(), EpochSchedule::kCapMs);
   EXPECT_EQ(report_bytes(rep), report_bytes(seq));
   // The floor + widening keep the cut count sane: bounded by events, not
-  // by 0.01 ms epochs over the 62 s drain horizon.
+  // by 0.01 ms epochs over the whole run.
   EXPECT_LT(sharded.cuts_executed(), 1'000u);
 }
 
@@ -511,20 +513,186 @@ TEST(ShardedSimEdge, ExplicitEpochMatchesDerivedOutput) {
   EXPECT_EQ(report_bytes(a), report_bytes(b));
 }
 
-TEST(ShardedSimEdge, DisablingAdaptationKeepsTheDerivedWidthFixed) {
-  const cache::Catalog catalog = tiny_catalog();
-  net::MatrixRttProvider rtt(near_zero_cross_matrix());
+// ----------------------------------------------------------------------
+// Conservation over thin links: every request that arrives resolves, in
+// every driver, however long congestion stretches the drain.
+// ----------------------------------------------------------------------
 
-  ShardOptions options;
-  options.shards = 2;
-  options.adaptive_epoch = false;
-  ShardedSimulator sharded(catalog, rtt, 4, tiny_config(), options);
-  const sim::SimulationReport rep = sharded.run(tiny_trace());
+TEST(ShardedSimEdge, ThinLinksResolveEveryRequestInEveryDriver) {
+  // Eight caches in four pairs, origin 8. 1 B/ms access links serialise
+  // each 1000 B body for a full second and a two-document cache misses
+  // almost always, so every cache's downlink backlog outlasts the
+  // 10 s stream by minutes.
+  net::DistanceMatrix m(9);
+  for (net::HostId a = 0; a < 8; ++a) {
+    for (net::HostId b = a + 1; b < 8; ++b) {
+      m.set(a, b, a / 2 == b / 2 ? 5.0 : 20.0);
+    }
+    m.set(a, 8, 80.0);
+  }
+  const net::MatrixRttProvider rtt(std::move(m));
+  std::vector<cache::DocumentInfo> docs(40);
+  for (auto& d : docs) d = {1'000, 20.0, 0.0};
+  const cache::Catalog catalog(std::move(docs));
 
-  const sim::SimulationReport seq =
-      sim::run_simulation(catalog, rtt, 4, tiny_config(), tiny_trace());
-  EXPECT_EQ(report_bytes(rep), report_bytes(seq));
-  EXPECT_DOUBLE_EQ(sharded.epoch_ms(), sharded.epoch_initial_ms());
+  workload::Trace trace;
+  trace.duration_ms = 10'000.0;
+  for (std::uint32_t i = 0; i < 800; ++i) {
+    trace.requests.push_back({5.0 + i * 12.5, i % 8, (i * 7) % 40});
+  }
+  sim::LinkModelConfig links;
+  links.bandwidth_bytes_per_ms = 1.0;
+
+  // shards == 0 → the sequential driver. Link state is cumulative, so
+  // every run gets a fresh model.
+  const auto run = [&](std::size_t shards) {
+    sim::AccessLinkModel model(links, 9);
+    sim::SimulationConfig config;
+    config.groups = {{0, 1}, {2, 3}, {4, 5}, {6, 7}};
+    config.cache_capacity_bytes = 2'000;
+    config.policy = cache::PolicyKind::kLru;
+    config.warmup_fraction = 0.0;
+    config.netmodel = &model;
+    if (shards == 0) return sim::run_simulation(catalog, rtt, 8, config, trace);
+    ShardOptions options;
+    options.shards = shards;
+    return run_sharded_simulation(catalog, rtt, 8, config, options, trace);
+  };
+
+  const sim::SimulationReport seq = run(0);
+  EXPECT_EQ(seq.requests_processed, trace.requests.size());
+  EXPECT_EQ(seq.raw_counts.total(), seq.requests_processed);
+  for (std::size_t shards : {1u, 4u}) {
+    const sim::SimulationReport rep = run(shards);
+    EXPECT_EQ(rep.raw_counts.total(), rep.requests_processed)
+        << "shards=" << shards;
+    EXPECT_EQ(report_bytes(rep), report_bytes(seq)) << "shards=" << shards;
+  }
+}
+
+// ----------------------------------------------------------------------
+// EpochSchedule: barrier order, width adaptation, cut choice.
+// ----------------------------------------------------------------------
+
+TEST(EpochSchedule, BarrierTiesBreakByClassThenKey) {
+  sim::SimulationConfig config;
+  config.failures = {{1, 300.0}};
+  config.membership_events = {
+      {sim::MembershipChange::Kind::kLeave, 2, 300.0},
+      {sim::MembershipChange::Kind::kJoin, 2, 50.0},
+      {sim::MembershipChange::Kind::kLeave, 3, 300.0},
+  };
+  config.directory = sim::DirectoryMode::kSummary;
+  config.summary.refresh_interval_ms = 300.0;
+  const std::vector<workload::Update> updates = {{300.0, 4}, {300.0, 5}};
+
+  // Refresh rounds at 300, 600, 900; the chain stops once the next round
+  // would pass the 1000 ms duration.
+  using C = sim::EventClass;
+  const std::vector<std::tuple<double, C, std::uint64_t>> want = {
+      {50.0, C::kMembership, 1},     {300.0, C::kFailure, 0},
+      {300.0, C::kMembership, 0},    {300.0, C::kMembership, 2},
+      {300.0, C::kUpdate, 0},        {300.0, C::kUpdate, 1},
+      {300.0, C::kSummaryRefresh, 0}, {600.0, C::kSummaryRefresh, 1},
+      {900.0, C::kSummaryRefresh, 2},
+  };
+  const std::vector<Barrier> got = canonical_barriers(config, updates, 1'000.0);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].time_ms, std::get<0>(want[i])) << i;
+    EXPECT_EQ(got[i].klass, std::get<1>(want[i])) << i;
+    EXPECT_EQ(got[i].key, std::get<2>(want[i])) << i;
+    EXPECT_EQ(got[i].index, std::get<2>(want[i])) << i;
+  }
+}
+
+TEST(EpochSchedule, WidthAdaptsToExchangedVolumeWithinInitialAndCap) {
+  constexpr std::size_t kTarget = EpochSchedule::kEffectBatchTarget;
+  EpochSchedule schedule;
+  schedule.start_width(10.0);
+  const auto epoch = [&](std::size_t exchanged) {
+    const Cut cut = schedule.next_cut(schedule.now_ms());
+    EXPECT_EQ(cut.kind, Cut::Kind::kEpoch);
+    schedule.commit(cut, exchanged);
+    return schedule.width_ms();
+  };
+  EXPECT_EQ(schedule.width_ms(), 10.0);
+  EXPECT_EQ(epoch(0), 40.0);                // x4 on an empty epoch
+  EXPECT_EQ(epoch(kTarget - 1), 80.0);      // x2 under the target
+  EXPECT_EQ(epoch(kTarget), 80.0);          // at the target: hold
+  EXPECT_EQ(epoch(4 * kTarget), 80.0);      // up to 4x the target: hold
+  EXPECT_EQ(epoch(4 * kTarget + 1), 40.0);  // past 4x: halve
+  EXPECT_EQ(epoch(4 * kTarget + 1), 20.0);
+  EXPECT_EQ(epoch(4 * kTarget + 1), 10.0);
+  EXPECT_EQ(epoch(4 * kTarget + 1), 10.0);  // never below the initial width
+  for (int i = 0; i < 8; ++i) epoch(0);
+  EXPECT_EQ(schedule.width_ms(), EpochSchedule::kCapMs);  // never above cap
+  EXPECT_EQ(schedule.initial_width_ms(), 10.0);
+
+  // The seed width is the lookahead clamped to [floor, cap]; no
+  // cross-shard pair at all (+inf) seeds the cap.
+  schedule.start_width(0.01);
+  EXPECT_EQ(schedule.width_ms(), EpochSchedule::kFloorMs);
+  schedule.start_width(5'000.0);
+  EXPECT_EQ(schedule.width_ms(), EpochSchedule::kCapMs);
+  schedule.start_width(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(schedule.width_ms(), EpochSchedule::kCapMs);
+}
+
+TEST(EpochSchedule, PinnedWidthNeverAdapts) {
+  EpochSchedule schedule({}, 250.0);
+  schedule.start_width(3.0);  // a pinned width ignores the lookahead
+  EXPECT_EQ(schedule.width_ms(), 250.0);
+  EXPECT_EQ(schedule.initial_width_ms(), 250.0);
+  for (std::size_t exchanged : {0u, 1u, 1'000'000u}) {
+    const Cut cut = schedule.next_cut(schedule.now_ms() + 7.0);
+    EXPECT_EQ(cut.kind, Cut::Kind::kEpoch);
+    EXPECT_EQ(cut.time_ms, schedule.now_ms() + 7.0 + 250.0);
+    schedule.commit(cut, exchanged);
+    EXPECT_EQ(schedule.width_ms(), 250.0);
+  }
+}
+
+TEST(EpochSchedule, FinalCutExactlyWhenNoBarrierLeftAndNothingPending) {
+  constexpr double kIdle = std::numeric_limits<double>::infinity();
+  EpochSchedule schedule({Barrier{500.0, sim::EventClass::kUpdate, 0, 0},
+                          Barrier{500.0, sim::EventClass::kUpdate, 1, 1}});
+  schedule.start_width(100.0);
+
+  // Pending work before the barrier: an epoch cut one width past it.
+  Cut cut = schedule.next_cut(10.0);
+  EXPECT_EQ(cut.kind, Cut::Kind::kEpoch);
+  EXPECT_EQ(cut.time_ms, 110.0);
+  EXPECT_EQ(schedule.take_barrier(cut), nullptr);
+  schedule.commit(cut, 1);
+  EXPECT_EQ(schedule.width_ms(), 200.0);
+
+  // Nothing pending but barriers left: a barrier cut, never the final
+  // one, and it does not adapt the width.
+  cut = schedule.next_cut(kIdle);
+  EXPECT_EQ(cut.kind, Cut::Kind::kBarrier);
+  EXPECT_EQ(cut.time_ms, 500.0);
+  schedule.commit(cut, 0);
+  EXPECT_EQ(schedule.width_ms(), 200.0);
+  const Barrier* first = schedule.take_barrier(cut);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->key, 0u);
+  const Barrier* second = schedule.take_barrier(cut);
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(second->key, 1u);
+  EXPECT_EQ(schedule.take_barrier(cut), nullptr);
+
+  // Work pending, no barrier left: still an epoch cut.
+  cut = schedule.next_cut(600.0);
+  EXPECT_EQ(cut.kind, Cut::Kind::kEpoch);
+  EXPECT_EQ(cut.time_ms, 800.0);
+  schedule.commit(cut, 0);
+
+  // No barrier and nothing pending: final, at the current clock.
+  cut = schedule.next_cut(kIdle);
+  EXPECT_EQ(cut.kind, Cut::Kind::kFinal);
+  EXPECT_EQ(cut.time_ms, 800.0);
+  EXPECT_EQ(schedule.take_barrier(cut), nullptr);
 }
 
 // ----------------------------------------------------------------------

@@ -4,6 +4,8 @@
 // result — these are the "no configuration corner breaks" guarantees.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/coordinator.h"
 #include "core/experiment.h"
 #include "sim/message_engine.h"
@@ -14,15 +16,23 @@ namespace {
 
 // ---------------------------------------------------------------------
 // Position representation × landmark count sweep.
+// gtest prints a parameter without a PrintTo overload as its raw bytes, and
+// each case is named after that print. The explicit zeroed member fills what
+// would otherwise be padding, so the names do not pick up stack garbage.
 struct PositionSweepParam {
   core::PositionKind kind;
+  std::uint32_t zero = 0;
   std::size_t landmarks;
 };
+static_assert(sizeof(PositionSweepParam) ==
+              sizeof(core::PositionKind) + sizeof(std::uint32_t) +
+                  sizeof(std::size_t));
 
 class PositionSweep : public ::testing::TestWithParam<PositionSweepParam> {};
 
 TEST_P(PositionSweep, SchemeProducesValidGroupsAndSaneGicost) {
-  const auto [kind, landmarks] = GetParam();
+  const auto [kind, zero, landmarks] = GetParam();
+  ASSERT_EQ(zero, 0u);
   core::EdgeNetworkParams params;
   params.cache_count = 40;
   const auto network = core::build_edge_network(params, 1234);
@@ -67,14 +77,22 @@ TEST_P(PositionSweep, SchemeProducesValidGroupsAndSaneGicost) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, PositionSweep,
     ::testing::Values(
-        PositionSweepParam{core::PositionKind::kFeatureVector, 5},
-        PositionSweepParam{core::PositionKind::kFeatureVector, 10},
-        PositionSweepParam{core::PositionKind::kFeatureVector, 20},
-        PositionSweepParam{core::PositionKind::kGnp, 8},
-        PositionSweepParam{core::PositionKind::kGnp, 12},
-        PositionSweepParam{core::PositionKind::kVirtualLandmarks, 6},
-        PositionSweepParam{core::PositionKind::kVirtualLandmarks, 12},
-        PositionSweepParam{core::PositionKind::kVivaldi, 5}));
+        PositionSweepParam{.kind = core::PositionKind::kFeatureVector,
+                           .landmarks = 5},
+        PositionSweepParam{.kind = core::PositionKind::kFeatureVector,
+                           .landmarks = 10},
+        PositionSweepParam{.kind = core::PositionKind::kFeatureVector,
+                           .landmarks = 20},
+        PositionSweepParam{.kind = core::PositionKind::kGnp,
+                           .landmarks = 8},
+        PositionSweepParam{.kind = core::PositionKind::kGnp,
+                           .landmarks = 12},
+        PositionSweepParam{.kind = core::PositionKind::kVirtualLandmarks,
+                           .landmarks = 6},
+        PositionSweepParam{.kind = core::PositionKind::kVirtualLandmarks,
+                           .landmarks = 12},
+        PositionSweepParam{.kind = core::PositionKind::kVivaldi,
+                           .landmarks = 5}));
 
 // ---------------------------------------------------------------------
 // SDSL θ sweep: every θ gives a valid partition; higher θ concentrates
